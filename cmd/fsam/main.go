@@ -215,9 +215,7 @@ func main() {
 		fmt.Printf("memory:            %.2f MB\n", float64(st.Bytes)/1e6)
 		fmt.Printf("interned sets:     %d unique / %d refs (dedup %.2fx)\n",
 			st.UniqueSets, st.SetRefs, st.DedupRatio)
-		fmt.Printf("time: pre=%s threads=%s interleave=%s locks=%s defuse=%s sparse=%s cfgfree=%s\n",
-			st.Times.PreAnalysis, st.Times.ThreadModel, st.Times.Interleave,
-			st.Times.LockSpans, st.Times.DefUse, st.Times.Sparse, st.Times.CFGFree)
+		fmt.Println(timeLine(st.Times))
 	}
 
 	if *query != "" {
@@ -266,6 +264,20 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "fsam:", err)
 	os.Exit(exitcode.Failure)
+}
+
+// timeLine renders the -stats time line: every phase that ran, by its
+// pipeline name and in pipeline order. Sub-phases (dotted names) are left
+// out; their time is already inside their parent phase.
+func timeLine(t fsam.PhaseTimes) string {
+	var b strings.Builder
+	b.WriteString("time:")
+	t.Each(func(phase string, d time.Duration) {
+		if d > 0 && !strings.Contains(phase, ".") {
+			fmt.Fprintf(&b, " %s=%s", phase, d)
+		}
+	})
+	return b.String()
 }
 
 // printEscape renders the thread-escape classification: the per-class

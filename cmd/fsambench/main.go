@@ -24,16 +24,6 @@
 //	                               per benchmark (-requests), reporting
 //	                               client-observed latency percentiles and
 //	                               cache hits
-//	fsambench -cluster             boot an in-process fleet (-replicas, default
-//	                               2) behind an fsamgw gateway, inject chaos
-//	                               into replica 0 (-chaos), kill and restart
-//	                               the last replica mid-run (-kill), and drive
-//	                               -traffic mixed hot/cold requests through
-//	                               the gateway with client retries disabled.
-//	                               Fails (exit 1) on any client-visible
-//	                               failure, or if retries, hedges, or a full
-//	                               breaker open→close cycle were not observed,
-//	                               or the fleet cache hit ratio sags
 //
 // Flags -scale and -timeout control workload size and the per-analysis
 // budget (the stand-in for the paper's two-hour limit); the budget applies
@@ -66,7 +56,6 @@ import (
 	"time"
 
 	fsam "repro"
-	"repro/internal/cluster"
 	"repro/internal/exitcode"
 	"repro/internal/harness"
 	"repro/internal/server"
@@ -104,13 +93,6 @@ func run() (int, error) {
 		asJSON    = flag.Bool("json", false, "emit the selected tables as JSON instead of text (alone, implies -table2)")
 		srvURL    = flag.String("server", "", "drive a running fsamd at this base URL instead of analyzing in-process")
 		requests  = flag.Int("requests", 5, "requests per benchmark in -server mode")
-		clusterM  = flag.Bool("cluster", false, "boot an in-process fsamd fleet behind fsamgw, drive chaos traffic through it, and gate on resilience")
-		replicas  = flag.Int("replicas", 2, "fleet size in -cluster mode")
-		traffic   = flag.Int("traffic", 200, "total analyze requests in -cluster mode")
-		chaosStr  = flag.String("chaos", "latency=30ms:0.3,error=0.15", "fault spec injected into replica 0 in -cluster mode")
-		kill      = flag.Bool("kill", true, "kill and restart the last replica mid-run in -cluster mode")
-		hedge     = flag.Duration("hedge", 30*time.Millisecond, "gateway hedge delay in -cluster mode")
-		seed      = flag.Int64("seed", 1, "traffic-plan seed in -cluster mode")
 	)
 	flag.Parse()
 
@@ -125,9 +107,6 @@ func run() (int, error) {
 	if !fsam.KnownEscapePrune(*escPrune) {
 		fmt.Fprintf(os.Stderr, "fsambench: unknown escape-prune mode %q (known: %s)\n", *escPrune, strings.Join(fsam.EscapePruneModes(), ", "))
 		os.Exit(exitcode.Usage)
-	}
-	if *clusterM {
-		return runCluster(*replicas, *traffic, *chaosStr, *kill, *hedge, *seed)
 	}
 	if *srvURL != "" {
 		return runServer(*srvURL, *requests, *scale, *timeout, *engine, *memBud, *stepLim)
@@ -251,38 +230,6 @@ func runServer(baseURL string, requests, scale int, timeout time.Duration, engin
 			ps[0].Round(time.Microsecond), ps[1].Round(time.Microsecond), ps[2].Round(time.Microsecond), tier)
 	}
 	return code, nil
-}
-
-// runCluster is the fleet resilience drill: N in-process fsamd replicas
-// behind an fsamgw gateway, chaos on replica 0, a kill/restart of the last
-// replica mid-run, and a client with retries disabled so only the gateway
-// stands between the faults and the caller. Exit 1 unless the run shows
-// zero client-visible failures with retries, hedges, and a full breaker
-// open→close cycle actually observed.
-func runCluster(replicas, traffic int, chaosSpec string, kill bool, hedge time.Duration, seed int64) (int, error) {
-	chaos, err := server.ParseChaos(chaosSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fsambench:", err)
-		os.Exit(exitcode.Usage)
-	}
-	rep, err := cluster.Run(cluster.Options{
-		Replicas:    replicas,
-		Requests:    traffic,
-		Chaos:       chaos,
-		KillRestart: kill,
-		Seed:        seed,
-		HedgeAfter:  hedge,
-		Out:         os.Stdout,
-	})
-	if err != nil {
-		return exitcode.Failure, err
-	}
-	rep.Print(os.Stdout)
-	if err := rep.Gate(); err != nil {
-		return exitcode.Failure, fmt.Errorf("cluster gate: %w", err)
-	}
-	fmt.Println("cluster ok")
-	return exitcode.OK, nil
 }
 
 // worstTier folds degraded rows into the exit-code convention. A row that

@@ -16,11 +16,6 @@
 //	-maxdeadline D     cap on requested deadlines (default 5m)
 //	-grace D           drain grace period after SIGTERM/SIGINT (default 30s)
 //	-quiet             suppress per-request logs
-//	-chaos SPEC        inject faults into the API paths for resilience
-//	                   testing, e.g. latency=50ms:0.3,error=0.1,drop=0.05
-//	                   (latency=DUR[:PROB], error/drop=PROB, seed=N);
-//	                   injected faults are counted in
-//	                   fsamd_chaos_injected_total{kind}
 //
 // Endpoints: POST /v1/analyze, GET /v1/pointsto, /v1/races, /v1/leaks,
 // /healthz (liveness, always 200 while the process serves), /readyz
@@ -70,18 +65,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		maxDL    = fs.Duration("maxdeadline", 5*time.Minute, "cap on requested deadlines")
 		grace    = fs.Duration("grace", 30*time.Second, "drain grace period on SIGTERM/SIGINT")
 		quiet    = fs.Bool("quiet", false, "suppress per-request logs")
-		chaosStr = fs.String("chaos", "", "fault injection spec, e.g. latency=50ms:0.3,error=0.1,drop=0.05")
 	)
 	if err := fs.Parse(args); err != nil {
 		return exitcode.Usage
 	}
 	if fs.NArg() != 0 {
 		fmt.Fprintln(stderr, "fsamd: unexpected arguments")
-		return exitcode.Usage
-	}
-	chaosCfg, err := server.ParseChaos(*chaosStr)
-	if err != nil {
-		fmt.Fprintln(stderr, "fsamd:", err)
 		return exitcode.Usage
 	}
 
@@ -98,11 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		DefaultDeadline: *deadline,
 		MaxDeadline:     *maxDL,
 		Log:             reqLog,
-		Chaos:           chaosCfg,
 	})
-	if chaosCfg.Enabled() {
-		logger.Printf("chaos enabled: %s", *chaosStr)
-	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

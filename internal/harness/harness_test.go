@@ -132,8 +132,8 @@ func TestPercentiles(t *testing.T) {
 	}
 }
 
-// TestParsePromText exercises the exposition parser the cluster harness
-// gates with.
+// TestParsePromText exercises the exposition parser the perfbench
+// serve-cached workload reads fsamd's /metrics with.
 func TestParsePromText(t *testing.T) {
 	text := "# HELP x y\n# TYPE x counter\nx 3\nx_labeled{kind=\"a\"} 2\nx_labeled{kind=\"b\"} 4.5\n\nmalformed\n"
 	s := harness.ParsePromText(text)

@@ -9,7 +9,7 @@ import (
 // Keys keep their label sets verbatim (`name{label="x"}`), so callers can
 // look up exact samples or fold families with PromSum. Comment and type
 // lines, blank lines, and malformed samples are skipped — the parser is
-// for harness gates over our own daemons' expositions, not a general
+// for benchmark checks over fsamd's own exposition, not a general
 // scraper.
 func ParsePromText(text string) map[string]float64 {
 	out := map[string]float64{}

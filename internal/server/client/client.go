@@ -23,7 +23,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/resilience"
 	"repro/internal/server"
 )
 
@@ -48,8 +47,7 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("fsamd: HTTP %d: %s", e.Status, e.Message)
 }
 
-// Client talks to one fsamd instance (or to a fleet through fsamgw —
-// the gateway serves the same wire schema).
+// Client talks to one fsamd instance.
 type Client struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8077".
 	BaseURL string
@@ -57,10 +55,9 @@ type Client struct {
 	// DefaultTimeout; note that http.DefaultClient has NO timeout.
 	HTTP *http.Client
 	// Retry governs transient-failure handling on the analysis and query
-	// paths. nil selects the resilience defaults (3 attempts, exponential
-	// backoff from 50ms). Set &resilience.Policy{MaxAttempts: 1} to
-	// disable retries entirely.
-	Retry *resilience.Policy
+	// paths. nil selects the defaults (3 attempts, exponential backoff
+	// from 50ms); &retryPolicy{MaxAttempts: 1} disables retries.
+	Retry *retryPolicy
 }
 
 // New returns a Client for the given base URL.
@@ -75,11 +72,11 @@ func (c *Client) httpClient() *http.Client {
 	return defaultHTTPClient
 }
 
-func (c *Client) policy() resilience.Policy {
+func (c *Client) policy() retryPolicy {
 	if c.Retry != nil {
 		return *c.Retry
 	}
-	return resilience.Policy{}
+	return retryPolicy{}
 }
 
 // readAPIError drains a non-2xx body into the error schema, falling back
@@ -103,8 +100,8 @@ func (c *Client) attempt(req *http.Request, out any) (hint time.Duration, retrya
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		hint, _ := resilience.RetryAfter(resp.Header)
-		return hint, resilience.RetryableStatus(resp.StatusCode), readAPIError(resp)
+		hint, _ := retryAfter(resp.Header)
+		return hint, retryableStatus(resp.StatusCode), readAPIError(resp)
 	}
 	if out == nil {
 		return 0, false, nil

@@ -1,4 +1,4 @@
-package resilience
+package client
 
 import (
 	"context"
@@ -9,7 +9,7 @@ import (
 )
 
 func TestBackoffDelayGrowthAndCap(t *testing.T) {
-	b := Backoff{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Factor: 2,
+	b := backoff{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Factor: 2,
 		Jitter: 1e-9, Rand: func() float64 { return 0 }}
 	want := []time.Duration{10, 20, 40, 80, 80, 80}
 	for i, w := range want {
@@ -24,7 +24,7 @@ func TestBackoffDelayGrowthAndCap(t *testing.T) {
 
 func TestBackoffJitterBounds(t *testing.T) {
 	for _, r := range []float64{0, 0.5, 0.999} {
-		b := Backoff{Base: 100 * time.Millisecond, Max: time.Second, Rand: func() float64 { return r }}
+		b := backoff{Base: 100 * time.Millisecond, Max: time.Second, Rand: func() float64 { return r }}
 		d := b.Delay(0)
 		if d < 50*time.Millisecond || d > 100*time.Millisecond {
 			t.Fatalf("Delay with rand=%g = %s, want within [50ms,100ms]", r, d)
@@ -33,7 +33,7 @@ func TestBackoffJitterBounds(t *testing.T) {
 }
 
 func TestPolicyDoRetriesThenSucceeds(t *testing.T) {
-	p := Policy{MaxAttempts: 4, Backoff: Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond}}
+	p := retryPolicy{MaxAttempts: 4, Backoff: backoff{Base: time.Millisecond, Max: 2 * time.Millisecond}}
 	calls := 0
 	err := p.Do(context.Background(), func(attempt int) (time.Duration, bool, error) {
 		if attempt != calls {
@@ -51,7 +51,7 @@ func TestPolicyDoRetriesThenSucceeds(t *testing.T) {
 }
 
 func TestPolicyDoStopsOnNonRetryable(t *testing.T) {
-	p := Policy{MaxAttempts: 5, Backoff: Backoff{Base: time.Millisecond}}
+	p := retryPolicy{MaxAttempts: 5, Backoff: backoff{Base: time.Millisecond}}
 	calls := 0
 	fatal := errors.New("fatal")
 	err := p.Do(context.Background(), func(int) (time.Duration, bool, error) {
@@ -64,7 +64,7 @@ func TestPolicyDoStopsOnNonRetryable(t *testing.T) {
 }
 
 func TestPolicyDoExhaustsAttempts(t *testing.T) {
-	p := Policy{MaxAttempts: 3, Backoff: Backoff{Base: time.Millisecond, Max: time.Millisecond}}
+	p := retryPolicy{MaxAttempts: 3, Backoff: backoff{Base: time.Millisecond, Max: time.Millisecond}}
 	calls := 0
 	transient := errors.New("transient")
 	err := p.Do(context.Background(), func(int) (time.Duration, bool, error) {
@@ -78,7 +78,7 @@ func TestPolicyDoExhaustsAttempts(t *testing.T) {
 
 func TestPolicyDoHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	p := Policy{MaxAttempts: 10, Backoff: Backoff{Base: time.Hour, Max: time.Hour}}
+	p := retryPolicy{MaxAttempts: 10, Backoff: backoff{Base: time.Hour, Max: time.Hour}}
 	done := make(chan error, 1)
 	go func() {
 		done <- p.Do(ctx, func(int) (time.Duration, bool, error) {
@@ -97,7 +97,7 @@ func TestPolicyDoHonorsContext(t *testing.T) {
 }
 
 func TestPolicyDoHonorsHintOverBackoff(t *testing.T) {
-	p := Policy{MaxAttempts: 2, Backoff: Backoff{Base: time.Millisecond, Max: time.Millisecond},
+	p := retryPolicy{MaxAttempts: 2, Backoff: backoff{Base: time.Millisecond, Max: time.Millisecond},
 		MaxHintWait: 80 * time.Millisecond}
 	t0 := time.Now()
 	p.Do(context.Background(), func(int) (time.Duration, bool, error) {
@@ -109,7 +109,7 @@ func TestPolicyDoHonorsHintOverBackoff(t *testing.T) {
 }
 
 func TestPolicyDoCapsHint(t *testing.T) {
-	p := Policy{MaxAttempts: 2, Backoff: Backoff{Base: time.Millisecond, Max: time.Millisecond},
+	p := retryPolicy{MaxAttempts: 2, Backoff: backoff{Base: time.Millisecond, Max: time.Millisecond},
 		MaxHintWait: 30 * time.Millisecond}
 	t0 := time.Now()
 	p.Do(context.Background(), func(int) (time.Duration, bool, error) {
@@ -126,31 +126,31 @@ func TestRetryableStatus(t *testing.T) {
 		http.StatusTooManyRequests: true, http.StatusInternalServerError: false,
 		http.StatusServiceUnavailable: true, http.StatusGatewayTimeout: false,
 	} {
-		if got := RetryableStatus(code); got != want {
-			t.Errorf("RetryableStatus(%d) = %v, want %v", code, got, want)
+		if got := retryableStatus(code); got != want {
+			t.Errorf("retryableStatus(%d) = %v, want %v", code, got, want)
 		}
 	}
 }
 
 func TestRetryAfter(t *testing.T) {
 	h := http.Header{}
-	if _, ok := RetryAfter(h); ok {
+	if _, ok := retryAfter(h); ok {
 		t.Fatal("absent header reported ok")
 	}
 	h.Set("Retry-After", "2")
-	if d, ok := RetryAfter(h); !ok || d != 2*time.Second {
+	if d, ok := retryAfter(h); !ok || d != 2*time.Second {
 		t.Fatalf("seconds form: %s, %v", d, ok)
 	}
 	h.Set("Retry-After", "0")
-	if d, ok := RetryAfter(h); !ok || d != 0 {
+	if d, ok := retryAfter(h); !ok || d != 0 {
 		t.Fatalf("zero seconds: %s, %v", d, ok)
 	}
 	h.Set("Retry-After", time.Now().Add(3*time.Second).UTC().Format(http.TimeFormat))
-	if d, ok := RetryAfter(h); !ok || d <= 0 || d > 4*time.Second {
+	if d, ok := retryAfter(h); !ok || d <= 0 || d > 4*time.Second {
 		t.Fatalf("date form: %s, %v", d, ok)
 	}
 	h.Set("Retry-After", "soon")
-	if _, ok := RetryAfter(h); ok {
+	if _, ok := retryAfter(h); ok {
 		t.Fatal("malformed header reported ok")
 	}
 }

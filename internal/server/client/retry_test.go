@@ -10,16 +10,15 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/resilience"
 	"repro/internal/server"
 )
 
 // fastRetry is a policy with near-instant backoff so retry tests don't
 // sleep for real.
-func fastRetry(attempts int) *resilience.Policy {
-	return &resilience.Policy{
+func fastRetry(attempts int) *retryPolicy {
+	return &retryPolicy{
 		MaxAttempts: attempts,
-		Backoff:     resilience.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond, Jitter: 0.01},
+		Backoff:     backoff{Base: time.Millisecond, Max: 2 * time.Millisecond, Jitter: 0.01},
 	}
 }
 
@@ -69,8 +68,8 @@ func TestAnalyzeRetries503(t *testing.T) {
 	}
 }
 
-// TestAnalyzeRetriesTransportError: a severed connection (the chaos drop
-// fault) is retried like any transient failure.
+// TestAnalyzeRetriesTransportError: a severed connection is retried like
+// any transient failure.
 func TestAnalyzeRetriesTransportError(t *testing.T) {
 	var calls atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -120,8 +119,8 @@ func TestAnalyzeNoRetryOnClientError(t *testing.T) {
 	}
 }
 
-// TestRetryDisabled: MaxAttempts 1 turns retries off — the gateway and the
-// cluster bench need the raw failure.
+// TestRetryDisabled: MaxAttempts 1 turns retries off and surfaces the raw
+// failure.
 func TestRetryDisabled(t *testing.T) {
 	var calls atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -132,7 +131,7 @@ func TestRetryDisabled(t *testing.T) {
 	defer ts.Close()
 
 	c := New(ts.URL)
-	c.Retry = &resilience.Policy{MaxAttempts: 1}
+	c.Retry = &retryPolicy{MaxAttempts: 1}
 	_, err := c.Analyze(context.Background(), server.AnalyzeRequest{Source: "int x;"})
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable {

@@ -47,9 +47,6 @@ type metrics struct {
 	shed  map[string]uint64 // reason -> count
 	dedup uint64            // singleflight followers
 
-	// Chaos faults injected, by kind (latency/error/drop).
-	chaosInjected map[string]uint64
-
 	// Diagnostics endpoint: requests served and findings returned per
 	// checker (cached suite runs count every time they are served, so the
 	// series tracks what clients saw, not pipeline work).
@@ -59,16 +56,15 @@ type metrics struct {
 
 func newMetrics() *metrics {
 	return &metrics{
-		started:       time.Now(),
-		requests:      map[string]map[int]uint64{},
-		latCounts:     make([]uint64, len(latencyBuckets)),
-		phaseSeconds:  map[string]float64{},
-		tiers:         map[string]uint64{},
-		engines:       map[string]uint64{},
-		deltas:        map[string]uint64{},
-		shed:          map[string]uint64{},
-		chaosInjected: map[string]uint64{},
-		diagFindings:  map[string]uint64{},
+		started:      time.Now(),
+		requests:     map[string]map[int]uint64{},
+		latCounts:    make([]uint64, len(latencyBuckets)),
+		phaseSeconds: map[string]float64{},
+		tiers:        map[string]uint64{},
+		engines:      map[string]uint64{},
+		deltas:       map[string]uint64{},
+		shed:         map[string]uint64{},
+		diagFindings: map[string]uint64{},
 	}
 }
 
@@ -120,13 +116,6 @@ func (m *metrics) observeShed(reason string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.shed[reason]++
-}
-
-// observeChaos records one injected fault by kind.
-func (m *metrics) observeChaos(kind string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.chaosInjected[kind]++
 }
 
 func (m *metrics) observeDedup() {
@@ -239,12 +228,6 @@ func (m *metrics) write(w io.Writer, cs cacheStats, fc facts.Counters, inflight,
 	fmt.Fprintf(w, "# TYPE fsamd_shed_total counter\n")
 	for _, reason := range sortedKeys(m.shed) {
 		fmt.Fprintf(w, "fsamd_shed_total{reason=%q} %d\n", reason, m.shed[reason])
-	}
-
-	fmt.Fprintf(w, "# HELP fsamd_chaos_injected_total Faults injected by the -chaos layer, by kind.\n")
-	fmt.Fprintf(w, "# TYPE fsamd_chaos_injected_total counter\n")
-	for _, kind := range sortedKeys(m.chaosInjected) {
-		fmt.Fprintf(w, "fsamd_chaos_injected_total{kind=%q} %d\n", kind, m.chaosInjected[kind])
 	}
 
 	fmt.Fprintf(w, "# HELP fsamd_diagnostics_requests_total Diagnostics requests served.\n")

@@ -8,7 +8,6 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"net/url"
 	"runtime"
 	"strconv"
 	"strings"
@@ -48,17 +47,13 @@ type Options struct {
 	// Log receives one structured line per completed request (default:
 	// discard).
 	Log *log.Logger
-	// Chaos injects server-side faults into the API paths for resilience
-	// testing (zero value: no faults). See ChaosConfig.
-	Chaos ChaosConfig
 }
 
 // Retry-After hints, in seconds, attached to the overload answers so
-// well-behaved clients (and the gateway) can back off precisely rather
-// than guessing. Queue-full is transient — capacity frees as fast as the
-// pipeline drains, so retry soon; draining is terminal for this replica —
-// the hint tells a direct client to wait out a restart, while a gateway
-// fails over immediately anyway.
+// well-behaved clients can back off precisely rather than guessing.
+// Queue-full is transient — capacity frees as fast as the pipeline drains,
+// so retry soon; draining is terminal for this process — the hint tells a
+// client to wait out a restart.
 const (
 	retryAfterQueueFull    = "1"
 	retryAfterQueueTimeout = "2"
@@ -106,7 +101,6 @@ type Server struct {
 	facts    *facts.Store
 	flight   flightGroup
 	mux      *http.ServeMux
-	chaos    *chaos
 	reqSeq   atomic.Uint64
 	draining atomic.Bool
 
@@ -142,9 +136,6 @@ func New(opt Options) *Server {
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	if opt.Chaos.Enabled() {
-		s.chaos = newChaos(opt.Chaos, s.met)
-	}
 	return s
 }
 
@@ -156,9 +147,7 @@ func (s *Server) Handler() http.Handler {
 		id := s.reqSeq.Add(1)
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		t0 := time.Now()
-		if s.chaos == nil || s.chaos.intercept(rec, r) {
-			s.mux.ServeHTTP(rec, r)
-		}
+		s.mux.ServeHTTP(rec, r)
 		d := time.Since(t0)
 		s.met.observeRequest(r.URL.Path, rec.status, d)
 		s.opt.Log.Printf("req=%d method=%s path=%s status=%d dur=%s cache=%s engine=%s tier=%s",
@@ -222,13 +211,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errStatus, exitcode.Usage, "%v", err)
 		return
 	}
-	// ?cachedonly=1 is the gateway's peer cache-fill probe: answer from the
-	// cache or 404, never running the pipeline. Peeks bypass the drain shed
-	// deliberately — a draining replica's cache stays warm, serving from it
-	// costs nothing, and siblings may keep filling from it until it exits.
-	cachedOnly := r.URL.Query().Get("cachedonly") == "1"
 	wantEscape := r.URL.Query().Get("escape") == "1"
-	if s.draining.Load() && !cachedOnly {
+	if s.draining.Load() {
 		s.met.observeShed("draining")
 		w.Header().Set("Retry-After", retryAfterDraining)
 		writeError(w, http.StatusServiceUnavailable, 0, "server is draining")
@@ -255,15 +239,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		cfg = baseEnt.a.Config
 	}
 	key := Key(name, src, cfg)
-
-	if cachedOnly {
-		if ent, ok := s.cache.peek(key); ok {
-			s.respondAnalyze(w, ent, true, false, wantEscape)
-			return
-		}
-		writeError(w, http.StatusNotFound, 0, "not cached")
-		return
-	}
 
 	// Fast path: a cache hit costs no admission and no pipeline run.
 	if ent, ok := s.cache.get(key); ok {
@@ -454,11 +429,6 @@ func (s *Server) respondAnalyze(w http.ResponseWriter, ent *entry, cached, share
 	}
 	w.Header().Set("X-Fsamd-Engine", resp.Engine)
 	w.Header().Set("X-Fsamd-Precision", resp.Precision)
-	if resp.ProgKey != "" {
-		// The program content address rides a header so proxies (the
-		// gateway's base-affinity map) can learn it without parsing bodies.
-		w.Header().Set("X-Fsamd-Progkey", resp.ProgKey)
-	}
 	if resp.Delta != nil {
 		w.Header().Set("X-Fsamd-Delta", resp.Delta.Tier)
 		w.Header().Set("X-Fsamd-Facts", resp.Delta.Facts)
@@ -471,48 +441,37 @@ func (s *Server) respondAnalyze(w http.ResponseWriter, ent *entry, cached, share
 	writeJSON(w, HTTPStatus(resp.ExitCode), resp)
 }
 
-// decodeAnalyzeRequest reads the bounded body and hands it to the shared
-// decoder.
+// decodeAnalyzeRequest reads the bounded body, parses it, and applies the
+// query-parameter overrides (?membudget=, ?steplimit=, ?deadline=,
+// ?engine=, ?memmodel=, ?escapeprune=).
 func decodeAnalyzeRequest(r *http.Request, maxBody int64) (AnalyzeRequest, int, error) {
+	var req AnalyzeRequest
 	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxBody))
 	if err != nil {
-		return AnalyzeRequest{}, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err)
+		return req, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err)
 	}
-	req, err := DecodeAnalyze(body, r.URL.Query())
-	if err != nil {
-		return req, http.StatusBadRequest, err
-	}
-	return req, 0, nil
-}
-
-// DecodeAnalyze parses an analyze request body and applies the
-// query-parameter overrides (?membudget=, ?steplimit=, ?deadline=,
-// ?engine=). It is shared with the gateway, which must interpret a request
-// exactly the way the replica it routes to will — a disagreement would
-// split identical requests across cache entries.
-func DecodeAnalyze(body []byte, q url.Values) (AnalyzeRequest, error) {
-	var req AnalyzeRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		return req, fmt.Errorf("malformed request body: %w", err)
+		return req, http.StatusBadRequest, fmt.Errorf("malformed request body: %w", err)
 	}
+	q := r.URL.Query()
 	if v := q.Get("membudget"); v != "" {
 		n, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
-			return req, fmt.Errorf("membudget: %w", err)
+			return req, http.StatusBadRequest, fmt.Errorf("membudget: %w", err)
 		}
 		req.Config.MemBudgetBytes = n
 	}
 	if v := q.Get("steplimit"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
-			return req, fmt.Errorf("steplimit: %w", err)
+			return req, http.StatusBadRequest, fmt.Errorf("steplimit: %w", err)
 		}
 		req.Config.StepLimit = n
 	}
 	if v := q.Get("deadline"); v != "" {
 		d, err := time.ParseDuration(v)
 		if err != nil {
-			return req, fmt.Errorf("deadline: %w", err)
+			return req, http.StatusBadRequest, fmt.Errorf("deadline: %w", err)
 		}
 		req.DeadlineMS = d.Milliseconds()
 	}
@@ -525,16 +484,14 @@ func DecodeAnalyze(body []byte, q url.Values) (AnalyzeRequest, error) {
 	if v := q.Get("escapeprune"); v != "" {
 		req.Config.EscapePrune = v
 	}
-	return req, nil
+	return req, 0, nil
 }
 
-// ResolveInputs validates an analyze request and produces the concrete
+// resolveInputs validates an analyze request and produces the concrete
 // pipeline inputs: the position-bearing name, the source text (benchmark
 // requests are generated here), and the canonicalized configuration.
-// errStatus carries the HTTP status when err is non-nil. Exported for the
-// gateway, which resolves requests the same way to compute the content
-// address a replica will cache the result under.
-func ResolveInputs(req AnalyzeRequest, maxScale int) (name, src string, cfg fsam.Config, errStatus int, err error) {
+// errStatus carries the HTTP status when err is non-nil.
+func resolveInputs(req AnalyzeRequest, maxScale int) (name, src string, cfg fsam.Config, errStatus int, err error) {
 	if req.Config.Engine != "" && !fsam.KnownEngine(req.Config.Engine) {
 		return "", "", cfg, http.StatusBadRequest,
 			fmt.Errorf("unknown engine %q (known: %s)", req.Config.Engine, strings.Join(fsam.Engines(), ", "))
@@ -577,25 +534,9 @@ func ResolveInputs(req AnalyzeRequest, maxScale int) (name, src string, cfg fsam
 	return name, src, req.Config.Config(), 0, nil
 }
 
-// RoutingKey computes the content address an analyze request's result will
-// be cached under, for gateway-side consistent-hash routing. Base+patch
-// requests are not keyable without the base entry's configuration (the base
-// governs the config, and only the replica holding it knows the config);
-// they report ok=false and are routed by their Base program key instead.
-func RoutingKey(req AnalyzeRequest, maxScale int) (key string, ok bool, errStatus int, err error) {
-	if req.Base != "" {
-		return "", false, 0, nil
-	}
-	name, src, cfg, st, err := ResolveInputs(req, maxScale)
-	if err != nil {
-		return "", false, st, err
-	}
-	return Key(name, src, cfg), true, 0, nil
-}
-
 // resolve produces the pipeline inputs plus the server-policy deadline.
 func (s *Server) resolve(req AnalyzeRequest) (name, src string, cfg fsam.Config, deadline time.Duration, errStatus int, err error) {
-	name, src, cfg, errStatus, err = ResolveInputs(req, s.opt.MaxScale)
+	name, src, cfg, errStatus, err = resolveInputs(req, s.opt.MaxScale)
 	if err != nil {
 		return "", "", cfg, 0, errStatus, err
 	}
@@ -749,10 +690,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReadyz implements GET /readyz — readiness. 503 while draining or
-// while the admission queue is saturated, so load balancers and the
-// gateway stop routing new work here without concluding the process is
-// dead (that distinction is exactly why liveness and readiness are split:
-// ejecting on liveness would abort in-flight work a drain is protecting).
+// while the admission queue is saturated, so load balancers stop routing
+// new work here without concluding the process is dead (that distinction
+// is exactly why liveness and readiness are split: ejecting on liveness
+// would abort in-flight work a drain is protecting).
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	st := s.cache.stats()
 	resp := HealthResponse{

@@ -490,6 +490,26 @@ func TestSingleflightDedup(t *testing.T) {
 	}
 }
 
+// TestRetryAfterOnDrain: the drain shed carries a Retry-After hint.
+func TestRetryAfterOnDrain(t *testing.T) {
+	svc, ts := newTestServer(t, Options{})
+	defer ts.Close()
+	svc.BeginDrain()
+
+	resp, err := http.Post(ts.URL+"/v1/analyze", "application/json",
+		strings.NewReader(`{"source":"int x;"}`))
+	if err != nil {
+		t.Fatalf("analyze: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("status %d, want 503", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("draining 503 without a Retry-After hint")
+	}
+}
+
 // TestGracefulDrain: after BeginDrain, new analyze requests and /readyz
 // answer 503 (with a Retry-After hint) while /healthz stays 200 — the
 // process is alive, just not routable — and the in-flight request runs to

@@ -441,7 +441,7 @@ func (t *threadSolver) buildSlice(ti int) {
 // into some slice (the boundary frontier). Together they guarantee every
 // in-slice transfer sees the global value of each direct input, which is
 // what makes the converged union a post-fixpoint of the whole-program
-// system (see DESIGN.md §16).
+// system (see DESIGN.md §15).
 func (c *coordinator) buildSyncs() {
 	needers := map[int]map[int]bool{}
 	need := func(node, ti int) {
